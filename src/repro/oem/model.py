@@ -151,6 +151,18 @@ class OemDatabase:
         except KeyError:
             raise UnknownOidError(f"unknown oid {oid}") from None
 
+    def tables(self) -> tuple[dict, dict, dict, list, set]:
+        """The live storage maps ``(labels, atoms, children, roots,
+        root_set)``: oid -> label, oid -> atomic value, set oid -> child
+        list, and the root list and set.
+
+        For read-only use by hot loops (the TSL evaluator's matcher) that
+        cannot afford the per-call coercion and copying of the accessors
+        above; callers must not mutate them.
+        """
+        return (self._labels, self._atoms, self._children, self._roots,
+                self._root_set)
+
     def object(self, oid: OidLike) -> "OemObject":
         """Return a navigational view of one object."""
         oid = as_oid(oid)

@@ -745,17 +745,17 @@ class ReproServer:
             request = EvaluateRequest.from_json(data)
         except BadRequestError as exc:
             return 400, exc.to_json()
-        if budget is not None:
-            try:
-                budget.check()
-            except BudgetExceededError as exc:
-                ctx.truncated = True
-                ctx.stop_reason = exc.reason or "deadline"
-                return 408, self._timeout_payload(exc)
         ctx.query_key = query_key(request.query)
         try:
+            if budget is not None:
+                budget.check()   # expired while queued -> 408, no work
             with ctx.tracer.span("evaluate"):
-                answer = evaluate(request.query, request.database)
+                answer = evaluate(request.query, request.database,
+                                  budget=budget)
+        except BudgetExceededError as exc:
+            ctx.truncated = True
+            ctx.stop_reason = exc.reason or "deadline"
+            return 408, self._timeout_payload(exc)
         except ReproError as exc:
             return 422, {"error": {"message": str(exc)}}
         return 200, {

@@ -165,6 +165,14 @@ class DurableStore(Store):
                           time.perf_counter() - started)
         self.wal_records += 1
         self._count("store.ops")
+
+    def _autocompact(self) -> None:
+        """Compact once the log holds ``autocompact_ops`` records.
+
+        Called after a mutation is applied in memory: the snapshot must
+        contain the record that triggered it, because compaction then
+        deletes the log.
+        """
         if self.autocompact_ops and self.wal_records >= self.autocompact_ops:
             self.compact()
 
@@ -190,21 +198,27 @@ class DurableStore(Store):
         self._append({"op": "atomic", "oid": term_to_json(as_oid(oid)),
                       "label": wal_value(label),
                       "value": wal_value(value)})
-        return super().add_atomic(oid, label, value)
+        result = super().add_atomic(oid, label, value)
+        self._autocompact()
+        return result
 
     def add_set(self, oid: OidLike, label: Atom) -> OidLike:
         self._append({"op": "set", "oid": term_to_json(as_oid(oid)),
                       "label": wal_value(label)})
-        return super().add_set(oid, label)
+        result = super().add_set(oid, label)
+        self._autocompact()
+        return result
 
     def add_child(self, parent: OidLike, child: OidLike) -> None:
         self._append({"op": "child", "parent": term_to_json(as_oid(parent)),
                       "child": term_to_json(as_oid(child))})
         super().add_child(parent, child)
+        self._autocompact()
 
     def add_root(self, oid: OidLike) -> None:
         self._append({"op": "root", "oid": term_to_json(as_oid(oid))})
         super().add_root(oid)
+        self._autocompact()
 
     def ingest(self, db: OemDatabase) -> int:
         """Bulk-add another database's contents (sorted, so the WAL is

@@ -13,6 +13,10 @@ The heuristic mirrors Figure 2's optimizer box in miniature:
 2. greedily pick the highest-scoring condition among those *connected*
    to already-bound variables (sharing any variable), falling back to
    the best unconnected one when none connects.
+
+:func:`live_variables` then gives, per condition of the chosen order,
+the variables a later step still reads; the evaluator projects its
+partial assignments onto them.
 """
 
 from __future__ import annotations
@@ -57,6 +61,24 @@ def order_conditions(query: Query) -> Query:
         ordered.append(best)
         bound |= _condition_variables(best)
     return Query(query.head, tuple(ordered), name=query.name)
+
+
+def live_variables(query: Query) -> tuple[frozenset[Variable], ...]:
+    """Per body condition, in body order: the variables live after it.
+
+    A variable is live after condition *i* when the head or a later
+    condition mentions it.  How a partial assignment of conditions
+    ``0..i`` extends through the rest of the body depends only on its
+    values for these variables, so the evaluator projects onto them and
+    deduplicates after every condition (see :mod:`repro.tsl.evaluator`).
+    """
+    live = set(query.head.variables())
+    after: list[frozenset[Variable]] = []
+    for condition in reversed(query.body):
+        after.append(frozenset(live))
+        live.update(condition.variables())
+    after.reverse()
+    return tuple(after)
 
 
 def plan_report(query: Query) -> list[tuple[str, float]]:

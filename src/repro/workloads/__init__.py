@@ -12,7 +12,8 @@ from .random_oem import (RandomOemConfig, RandomQueryConfig,
 from .querygen import (chain_database, chain_query, chain_view,
                        condition_view, fanout_probe_query, fanout_view,
                        k_conditions_database, k_conditions_query,
-                       star_database, star_query, star_view)
+                       star_database, star_query, star_view,
+                       view_head_probe)
 
 __all__ = [
     "figure3_database", "generate_bibliography", "conference_query",
@@ -24,6 +25,6 @@ __all__ = [
     "sample_conjunctive_query", "exposing_view",
     "chain_query", "chain_view", "star_query", "star_view",
     "k_conditions_query", "condition_view", "fanout_view",
-    "fanout_probe_query", "chain_database", "star_database",
-    "k_conditions_database",
+    "fanout_probe_query", "view_head_probe", "chain_database",
+    "star_database", "k_conditions_database",
 ]

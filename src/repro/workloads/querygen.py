@@ -146,6 +146,16 @@ def fanout_probe_query(source: str = "V") -> Query:
     return Query(head, (Condition(pattern, source),))
 
 
+def view_head_probe(view: Query) -> Query:
+    """A query whose one condition is *view*'s own head shape, over the
+    view (Section 3.1): composed with the view it gives a program over
+    the base data that must agree with evaluating it over the
+    materialized view."""
+    head = ObjectPattern(FunctionTerm("probe", (view.head.oid,)),
+                         Constant("probe"), Constant("ok"))
+    return Query(head, (Condition(view.head, view.name),))
+
+
 def chain_database(depth: int, width: int, seed_values: int = 3,
                    name: str = "db") -> OemDatabase:
     """A database of *width* chains matching :func:`chain_query`."""

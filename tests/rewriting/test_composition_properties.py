@@ -17,17 +17,10 @@ from repro.tsl.ast import Condition, ObjectPattern, Query
 from repro.logic.terms import Constant, FunctionTerm, Variable
 from repro.workloads import (RandomOemConfig, RandomQueryConfig,
                              exposing_view, generate_random_database,
-                             sample_query, view_v1, generate_people)
+                             sample_query, view_head_probe, view_v1,
+                             generate_people)
 
 _SETTINGS = dict(max_examples=20, deadline=None)
-
-
-def _candidate_over_view_head(view: Query) -> Query:
-    """A candidate whose single condition is the view's own head shape."""
-    head = ObjectPattern(
-        FunctionTerm("probe", (view.head.oid,)),
-        Constant("probe"), Constant("ok"))
-    return Query(head, (Condition(view.head, view.name),))
 
 
 @settings(**_SETTINGS)
@@ -38,7 +31,7 @@ def test_composition_commutes_on_exposing_views(seed):
     query = sample_query(db, RandomQueryConfig(conditions=2, max_depth=3),
                          seed=seed + 7)
     view = exposing_view(query, name="V")
-    candidate = _candidate_over_view_head(view)
+    candidate = view_head_probe(view)
     composed = compose(candidate, {"V": view})
     materialized = evaluate(view, db, answer_name="V")
     direct = evaluate(candidate, {"db": db, "V": materialized})
@@ -51,7 +44,7 @@ def test_composition_commutes_on_exposing_views(seed):
 def test_composition_commutes_on_v1(seed):
     db = generate_people(12, seed=seed)
     view = view_v1()
-    candidate = _candidate_over_view_head(view)
+    candidate = view_head_probe(view)
     composed = compose(candidate, {"V1": view})
     materialized = evaluate(view, db, answer_name="V1")
     direct = evaluate(candidate, {"db": db, "V1": materialized})

@@ -228,6 +228,39 @@ class TestBudgets:
         assert body["truncated"] is True
         assert body["stop_reason"] == "steps"
 
+    def test_evaluate_cross_product_is_408_within_deadline(self):
+        """An inline query joining six unconnected conditions over 50
+        objects (50**6 rows) must stop at its deadline, not pin the
+        worker: the one worker answers the next request at once."""
+        import time
+        from repro.oem import build_database, obj
+        from repro.oem.serialize import database_to_json
+        db = database_to_json(build_database(
+            "db", [obj("n", index, oid=f"o{index}")
+                   for index in range(50)]))
+        k = 6
+        xs = ",".join(f"X{i}" for i in range(k))
+        body = " AND ".join(f"<X{i} n V{i}>@db" for i in range(k))
+        product = f"<f({xs}) row V0> :- {body}"
+        budget_ms = 200
+        with running_server(ServerConfig(port=0, workers=1)) as single:
+            started = time.perf_counter()
+            status, payload = single.post("/evaluate", {
+                "query": product, "database": db, "budget_ms": budget_ms})
+            elapsed = time.perf_counter() - started
+            assert status == 408, payload
+            assert payload["truncated"] is True
+            assert payload["stop_reason"] == "deadline"
+            assert payload["schema_version"] == SERVE_SCHEMA_VERSION
+            assert "deadline" in payload["error"]["message"]
+            assert elapsed < budget_ms / 1e3 + 1.0, elapsed
+            started = time.perf_counter()
+            status, payload = single.post("/evaluate", {
+                "query": "<f(X) one V> :- <X n V>@db", "database": db})
+            assert status == 200, payload
+            assert payload["roots"] == 50
+            assert time.perf_counter() - started < 1.0
+
     def test_max_candidates_truncation_is_200_not_408(self, srv):
         # Client-requested truncation is not a timeout: stop_reason
         # "max_candidates" stays on the success path.

@@ -138,6 +138,30 @@ class TestKnobs:
         assert StorageLayout(root).snapshot.exists()
         store.close()
 
+    def test_autocompact_keeps_the_triggering_record(self, root):
+        # The record that trips autocompaction must be in the snapshot:
+        # compaction deletes the log it was appended to.
+        store = DurableStore.create(root, autocompact_ops=3)
+        for index in range(3):
+            store.add_atomic(f"a{index}", "n", index)
+        store.flush()
+        assert store.wal_records == 0
+        version = store.version
+        store.close()
+        reopened = DurableStore.open(root)
+        assert reopened.version == version == 3
+        for index in range(3):
+            assert reopened.db.atomic_value(f"a{index}") == index
+        assert canonical(reopened.db) == canonical(store.db)
+
+    def test_autocompacted_ingest_survives_reopen(self, root):
+        store = DurableStore.create(root, "db", autocompact_ops=5)
+        store.ingest(figure3_database())
+        store.close()
+        reopened = DurableStore.open(root)
+        assert canonical(reopened.db) == canonical(figure3_database())
+        assert reopened.version == store.version
+
     def test_current_store_version_matches_open(self, root):
         layout = StorageLayout(root)
         store = DurableStore.create(root, "db")

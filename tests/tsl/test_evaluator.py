@@ -235,3 +235,34 @@ class TestPrograms:
         answer = evaluate(q, people)
         assert len(answer.roots) == 0
         assert len(answer) == 0
+
+
+class TestBudget:
+    """The matcher honours a Budget (checked every 256 candidates)."""
+
+    @staticmethod
+    def product(k: int) -> str:
+        xs = ",".join(f"X{i}" for i in range(k))
+        body = " AND ".join(f"<X{i} n V{i}>@db" for i in range(k))
+        return f"<f({xs}) row V0> :- {body}"
+
+    @pytest.fixture
+    def wide(self):
+        return build_database("db", [obj("n", i, oid=f"o{i}")
+                                     for i in range(30)])
+
+    def test_step_budget_stops_a_cross_product(self, wide):
+        from repro.errors import BudgetExceededError
+        from repro.obs import Budget
+        budget = Budget(max_steps=5_000)
+        with pytest.raises(BudgetExceededError) as caught:
+            evaluate(parse_query(self.product(4)), wide, budget=budget)
+        assert caught.value.reason == "steps"
+        assert budget.steps <= 5_000 + 256
+
+    def test_roomy_budget_changes_nothing(self, wide):
+        from repro.obs import Budget
+        query = parse_query(self.product(2))
+        budgeted = evaluate(query, wide, budget=Budget(max_steps=10**6))
+        assert identical(budgeted, evaluate(query, wide))
+        assert len(budgeted.roots) == 30 * 30

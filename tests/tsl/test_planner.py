@@ -6,6 +6,7 @@ from repro.oem import identical
 from repro.tsl import (condition_score, evaluate, order_conditions,
                        parse_query, plan_report)
 from repro.tsl.evaluator import body_assignments
+from repro.tsl.planner import live_variables
 from repro.workloads import generate_bibliography
 
 
@@ -51,6 +52,28 @@ class TestOrdering:
         report = plan_report(q)
         assert len(report) == 2
         assert all(isinstance(score, float) for _, score in report)
+
+
+class TestLiveVariables:
+    def test_head_and_later_conditions_stay_live(self):
+        q = parse_query(
+            "<f(P) x T> :- <P pub {<Y year 1997>}>@db AND "
+            "<Q other {<Z zz V>}>@db AND <P pub {<X title T>}>@db")
+        live = [sorted(v.name for v in after)
+                for after in live_variables(q)]
+        # Y is dead at once; Q, Z and V die with the second condition.
+        assert live == [["P", "Q", "T", "V", "X", "Z"], ["P", "T", "X"],
+                        ["P", "T"]]
+
+    def test_join_variable_live_until_its_last_use(self):
+        q = parse_query(
+            "<f(P) x W> :- <P pub {<X author A>}>@db AND "
+            "<R person {<N name A>}>@db AND <R person {<M age W>}>@db")
+        live = [sorted(v.name for v in after)
+                for after in live_variables(q)]
+        # X dies at once, A and N after the join, R and M at the end.
+        assert live == [["A", "M", "N", "P", "R", "W"],
+                        ["M", "P", "R", "W"], ["P", "W"]]
 
 
 class TestSemanticsAndSpeed:
